@@ -3,6 +3,7 @@ module Path_pattern = Spm_core.Path_pattern
 module Graph = Spm_graph.Graph
 module Codec = Spm_store.Codec
 module Protocol = Spm_server.Protocol
+module Frontend = Spm_server.Frontend
 module Sig_index = Spm_server.Sig_index
 module Run = Spm_engine.Run
 module Clock = Spm_engine.Clock
@@ -34,10 +35,7 @@ type t = {
   mutable pruned : int;
   mutable service_seconds : float;
   started : float;
-  mutable stop : bool;
-  mutable listen_addr : Unix.sockaddr option;
-  sub_lock : Mutex.t;
-  mutable subscribers : Unix.file_descr list;
+  subscribers : Frontend.subscribers;
 }
 
 let create ?deadline ~manifest ~endpoints () =
@@ -74,10 +72,7 @@ let create ?deadline ~manifest ~endpoints () =
     pruned = 0;
     service_seconds = 0.0;
     started = Clock.now ();
-    stop = false;
-    listen_addr = None;
-    sub_lock = Mutex.create ();
-    subscribers = [];
+    subscribers = Frontend.subscribers ();
   }
 
 let locked t f =
@@ -91,8 +86,6 @@ let shard_patterns t =
       Array.map (fun s -> List.length s.summaries) t.shards)
 
 let pruning t = locked t (fun () -> (t.contacted, t.pruned))
-
-let stopping t = t.stop
 
 let stats t =
   locked t (fun () ->
@@ -341,39 +334,9 @@ let apply_diff t i (u : Protocol.update_reply) =
       shard.summaries <-
         after_removed @ List.map Partition.summary_of_mined u.Protocol.added)
 
-(* --- the push registry (router-side Subscribe) --- *)
-
-let push_to_subscribers t (u : Protocol.update_reply) ~seconds =
-  let frame =
-    Protocol.encode_response
-      (Protocol.response ~seconds (Protocol.Update_reply u))
-  in
-  Mutex.lock t.sub_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sub_lock)
-    (fun () ->
-      t.subscribers <-
-        List.filter
-          (fun fd ->
-            match Protocol.write_frame fd frame with
-            | () -> true
-            | exception (Unix.Unix_error _ | Codec.Corrupt _) ->
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              false)
-          t.subscribers)
-
 (* --- dispatch --- *)
 
 let count_error t = locked t (fun () -> t.errors <- t.errors + 1)
-
-let wake_listener t =
-  match t.listen_addr with
-  | None -> ()
-  | Some addr -> (
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ()))
 
 let unreachable_names t results targets =
   List.filter_map
@@ -562,8 +525,6 @@ let handle ?(client_version = Protocol.version) t req : Protocol.response =
              the cluster to change stores" )
     | Protocol.Stats -> finish (Run.Ok, [], Protocol.Stats_reply (stats t))
     | Protocol.Shutdown ->
-      t.stop <- true;
-      wake_listener t;
       finish (Run.Ok, [], Protocol.Bye)
     | Protocol.Subscribe ->
       finish (Run.Ok, [], Protocol.Subscribed (version t))
@@ -596,7 +557,10 @@ let handle ?(client_version = Protocol.version) t req : Protocol.response =
           in
           (match payload with
           | Protocol.Update_reply u ->
-            push_to_subscribers t u ~seconds:(Clock.now () -. t0)
+            Frontend.push t.subscribers
+              (Protocol.response
+                 ~seconds:(Clock.now () -. t0)
+                 (Protocol.Update_reply u))
           | _ -> ());
           finish outcome)
     | Protocol.Mine _ | Protocol.Lookup _ | Protocol.Contains _ ->
@@ -617,68 +581,11 @@ let handle ?(client_version = Protocol.version) t req : Protocol.response =
 
 (* --- the socket surface --- *)
 
-let handle_connection t conn =
-  (try Unix.setsockopt conn TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let handed_off = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !handed_off then
-        try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Protocol.accept_handshake conn with
-      | None -> ()
-      | Some client_version ->
-        let rec loop () =
-          match Protocol.read_frame conn with
-          | None -> ()
-          | Some frame -> (
-            match Protocol.decode_request frame with
-            | exception Codec.Corrupt msg ->
-              Protocol.write_frame conn
-                (Protocol.encode_response (Protocol.response (Error msg)))
-            | req -> (
-              let resp = handle ~client_version t req in
-              Protocol.write_frame conn (Protocol.encode_response resp);
-              match (req, resp.Protocol.payload) with
-              | Protocol.Subscribe, Protocol.Subscribed _ ->
-                Mutex.lock t.sub_lock;
-                t.subscribers <- conn :: t.subscribers;
-                Mutex.unlock t.sub_lock;
-                handed_off := true
-              | _ -> if req <> Protocol.Shutdown then loop ()))
-        in
-        (try loop () with
-        | Codec.Corrupt _ -> ()
-        | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ()))
-
 let serve t fd =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  t.listen_addr <- Some (Unix.getsockname fd);
-  let threads = ref [] in
-  let rec accept_loop () =
-    if not t.stop then
-      match Unix.accept fd with
-      | conn, _ ->
-        if t.stop then (try Unix.close conn with Unix.Unix_error _ -> ())
-        else
-          threads :=
-            Thread.create (fun () -> handle_connection t conn) () :: !threads;
-        accept_loop ()
-      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-        accept_loop ()
-      | exception Unix.Unix_error _ when t.stop -> ()
-  in
   Fun.protect
-    ~finally:(fun () ->
-      t.listen_addr <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      List.iter Thread.join !threads;
-      Mutex.lock t.sub_lock;
-      List.iter
-        (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
-        t.subscribers;
-      t.subscribers <- [];
-      Mutex.unlock t.sub_lock;
-      close t)
-    accept_loop
+    ~finally:(fun () -> close t)
+    (fun () ->
+      Frontend.run
+        (Frontend.create
+           (fun ~client_version req -> handle ~client_version t req)
+           t.subscribers fd))

@@ -70,16 +70,14 @@ val stats : t -> Spm_server.Protocol.server_stats
 (** Router-local counters ([store_patterns] is the summary-table total
     across shards; [cache_hits] is always 0 — the router does not cache). *)
 
-val stopping : t -> bool
-(** True once a [Shutdown] request has been handled. *)
-
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop over a {!Spm_server.Server.listen} socket: one thread per
-    connection, handshake at v2..v4, one response frame per request.
-    [Subscribe] connections move to a push registry that receives the
-    merged [Update_reply] per acknowledged update. Returns after
-    [Shutdown] (router-local — workers are not shut down), once every
-    connection thread has finished. *)
+(** Serve over a {!Spm_server.Server.listen} socket through
+    {!Spm_server.Frontend}: one thread per connection, handshake at
+    v2..v5, one response frame per request. [Subscribe] connections
+    receive the merged [Update_reply] per acknowledged update. Returns
+    after [Shutdown] (router-local — workers are not shut down) once
+    every connection has ended, and drains the worker connection pool on
+    the way out. *)
 
 val close : t -> unit
 (** Drop every pooled worker connection. [serve] does this on exit; only

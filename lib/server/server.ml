@@ -43,18 +43,16 @@ type t = {
          shard identity: a shard worker serves (and repairs, and mines)
          only the diameter clusters its shard owns. [None] for ordinary
          stores — behaviour is then exactly the unsharded server's. *)
-  sub_lock : Mutex.t;
-  mutable subscribers : Unix.file_descr list;
+  subscribers : Frontend.subscribers;
       (* Connections handed off by [Subscribe]; each gets one pushed
-         [Update_reply] frame per committed version. Under [sub_lock] only
-         — pushes write to sockets and must not hold [lock]. *)
+         [Update_reply] frame per committed version. Pushed without
+         holding [lock]. *)
   mutable requests : int;
   mutable cache_hits : int;
   mutable errors : int;
   mutable service_seconds : float;
   started : float;
   mutable stop : bool;
-  mutable listen_addr : Unix.sockaddr option;
 }
 
 let create ?(jobs = 1) ?(cache_capacity = 128) ?mine_timeout
@@ -74,15 +72,13 @@ let create ?(jobs = 1) ?(cache_capacity = 128) ?mine_timeout
     version = 0;
     live = None;
     scope = None;
-    sub_lock = Mutex.create ();
-    subscribers = [];
+    subscribers = Frontend.subscribers ();
     requests = 0;
     cache_hits = 0;
     errors = 0;
     service_seconds = 0.0;
     started = Clock.now ();
     stop = false;
-    listen_addr = None;
   }
 
 let jobs t = t.jobs
@@ -191,18 +187,6 @@ let stats t = locked t (fun () -> stats_unlocked t)
 let with_jobs_pool jobs f =
   if jobs <= 1 then f Pool.serial else Pool.with_pool ~jobs f
 
-(* Wake the accept loop after [Shutdown]: a throwaway connection to our own
-   listening address makes the blocked [accept] return, and the loop then
-   observes [t.stop]. *)
-let wake_listener t =
-  match t.listen_addr with
-  | None -> ()
-  | Some addr -> (
-    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-    match Unix.connect fd addr with
-    | () -> Unix.close fd
-    | exception Unix.Unix_error _ -> ( try Unix.close fd with _ -> ()))
-
 (* Dispatch outcome of the state-locked phase: everything except an actual
    mine or an incremental update completes in there. *)
 type dispatch =
@@ -263,10 +247,9 @@ let dispatch_unlocked t req : dispatch =
   | Stats -> Done (Run.Ok, Stats_reply (stats_unlocked t))
   | Shutdown ->
     t.stop <- true;
-    (* Stop an in-flight mine too, so [serve] can join its connection
-       thread promptly instead of waiting out the full search. *)
+    (* Stop an in-flight mine too, so [serve] need not wait out the full
+       search before it returns. *)
     Option.iter Run.cancel t.current;
-    wake_listener t;
     Done (Run.Ok, Bye)
   | Progress -> (
     match t.current with
@@ -347,26 +330,6 @@ let run_mine t { Protocol.l; delta; sigma; closed_growth; family } g =
   in
   (r.Skinny_mine.stats.Skinny_mine.status, Protocol.Patterns patterns)
 
-let push_to_subscribers t (u : Protocol.update_reply) ~seconds =
-  let frame =
-    Protocol.encode_response
-      (Protocol.response ~seconds (Protocol.Update_reply u))
-  in
-  Mutex.lock t.sub_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.sub_lock)
-    (fun () ->
-      t.subscribers <-
-        List.filter
-          (fun fd ->
-            match Protocol.write_frame fd frame with
-            | () -> true
-            | exception (Unix.Unix_error _ | Codec.Corrupt _) ->
-              (* Subscriber gone: drop it; the rest still get the push. *)
-              (try Unix.close fd with Unix.Unix_error _ -> ());
-              false)
-          t.subscribers)
-
 (* An incremental update, outside the state lock and serialized with mines
    by [mine_lock]: cluster repair fans out across the same domain pool. *)
 let run_update t edits =
@@ -413,7 +376,9 @@ let run_update t edits =
           clusters = diff.Incremental.total_clusters;
         }
       in
-      push_to_subscribers t reply ~seconds:diff.Incremental.seconds;
+      Frontend.push t.subscribers
+        (Protocol.response ~seconds:diff.Incremental.seconds
+           (Protocol.Update_reply reply));
       match t.store_path with
       | None -> (Run.Ok, Protocol.Update_reply reply)
       | Some path -> (
@@ -570,82 +535,9 @@ let listen ?(host = "127.0.0.1") ~port () =
   in
   (fd, actual_port)
 
-let handle_connection t conn =
-  (try Unix.setsockopt conn TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (* A [Subscribe] hands the socket over to the push registry: this thread
-     exits without closing it, and the fd dies with the registry (push
-     failure or shutdown). *)
-  let handed_off = ref false in
-  Fun.protect
-    ~finally:(fun () ->
-      if not !handed_off then
-        try Unix.close conn with Unix.Unix_error _ -> ())
-    (fun () ->
-      match Protocol.accept_handshake conn with
-      | None -> ()
-      | Some client_version ->
-        let rec loop () =
-          match Protocol.read_frame conn with
-          | None -> ()
-          | Some frame ->
-            let req =
-              try Ok (Protocol.decode_request frame)
-              with Codec.Corrupt msg -> Error msg
-            in
-            (match req with
-            | Error msg ->
-              (* Undecodable request: report and drop the connection — the
-                 stream offset can no longer be trusted. *)
-              Protocol.write_frame conn
-                (Protocol.encode_response (Protocol.response (Error msg)))
-            | Ok req -> (
-              let resp = handle ~client_version t req in
-              Protocol.write_frame conn (Protocol.encode_response resp);
-              match (req, resp.Protocol.payload) with
-              | Protocol.Subscribe, Protocol.Subscribed _ ->
-                Mutex.lock t.sub_lock;
-                t.subscribers <- conn :: t.subscribers;
-                Mutex.unlock t.sub_lock;
-                handed_off := true
-              | _ ->
-                (* A served [Shutdown] ends this connection too. *)
-                if req <> Protocol.Shutdown then loop ()))
-        in
-        try loop () with
-        | Codec.Corrupt _ -> ()
-        | Unix.Unix_error ((EPIPE | ECONNRESET), _, _) -> ())
+let frontend t fd =
+  Frontend.create
+    (fun ~client_version req -> handle ~client_version t req)
+    t.subscribers fd
 
-let serve t fd =
-  (* A client that disconnects mid-reply must not kill the process: turn
-     SIGPIPE into EPIPE from [write], which [handle_connection] absorbs. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
-  t.listen_addr <- Some (Unix.getsockname fd);
-  let threads = ref [] in
-  let rec accept_loop () =
-    if not t.stop then
-      match Unix.accept fd with
-      | conn, _ ->
-        if t.stop then (try Unix.close conn with Unix.Unix_error _ -> ())
-        else
-          threads :=
-            Thread.create (fun () -> handle_connection t conn) () :: !threads;
-        accept_loop ()
-      | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) ->
-        accept_loop ()
-      | exception Unix.Unix_error _ when t.stop -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      t.listen_addr <- None;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      List.iter Thread.join !threads;
-      (* Orderly close of every subscriber: they read EOF and know the
-         stream of diffs is over. *)
-      Mutex.lock t.sub_lock;
-      List.iter
-        (fun s -> try Unix.close s with Unix.Unix_error _ -> ())
-        t.subscribers;
-      t.subscribers <- [];
-      Mutex.unlock t.sub_lock)
-    accept_loop
+let serve t fd = Frontend.run (frontend t fd)

@@ -3,7 +3,7 @@
     One server owns a resident pattern store (graph + mined set + the
     {!Sig_index} planner index over it), an LRU response cache keyed by the
     graph version plus the encoded request bytes, and running counters. The
-    accept loop handles each connection on its own thread. Short requests
+    {!Frontend} handles each connection on its own thread. Short requests
     are serialized by a state lock; actual mining — full [Mine]s and
     incremental [Update] repairs — runs outside it under a separate mine
     lock (mining already fans out across domains via {!Spm_engine.Pool}, so
@@ -99,12 +99,16 @@ val listen : ?host:string -> port:int -> unit -> Unix.file_descr * int
 (** Bound, listening socket and its actual port (pass [port:0] for an
     ephemeral port — how the tests and benchmarks avoid collisions). *)
 
+val frontend : t -> Unix.file_descr -> Frontend.t
+(** A {!Frontend} over a listening socket that dispatches to {!handle} and
+    pushes committed updates to this server's subscribers. For callers
+    that run and stop the accept loop themselves (shard workers). *)
+
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop: one thread per connection, each running
-    handshake/read/dispatch/reply until EOF — except subscribers, whose
-    sockets move to the push registry and receive one frame per committed
-    update. Ignores [SIGPIPE] for the process, so a client that disconnects
-    mid-reply surfaces as [EPIPE] on that connection's thread instead of
-    killing the server. Returns after a [Shutdown] request (which also
-    cancels any in-flight mine), once every connection thread has finished;
-    subscriber sockets are closed on exit (subscribers read EOF). *)
+(** [Frontend.run (frontend t fd)]: one thread per connection, each running
+    handshake/read/dispatch/reply until EOF, except subscribers, whose
+    sockets receive one frame per committed update. Returns after a
+    [Shutdown] request (which also cancels any in-flight mine): every
+    other connection ends after its in-flight request, idle ones at once,
+    and [serve] returns when the last has; subscriber sockets are closed
+    on exit (subscribers read EOF). See {!Frontend} for the stop rules. *)

@@ -526,6 +526,121 @@ let test_router_over_the_wire () =
               Client.shutdown cl);
           Client.close subscriber))
 
+(* Shutdown always completes: a handshaken client idling on another
+   router connection is half-closed by the stop, not waited on. *)
+let test_router_shutdown_with_idle_client () =
+  with_cluster ~shards:2 (fun c ->
+      let lfd, port = Server.listen ~port:0 () in
+      let returned = Atomic.make false in
+      let th =
+        Thread.create
+          (fun () ->
+            Router.serve c.router lfd;
+            Atomic.set returned true)
+          ()
+      in
+      let idle = Client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close idle;
+          Thread.join th)
+        (fun () ->
+          Client.ping idle;
+          Client.with_connection ~port Client.shutdown;
+          check_bool "serve returns within 5 s of Shutdown" true
+            (Testutil.wait_for ~seconds:5.0 (fun () -> Atomic.get returned))))
+
+(* A worker's subscriber gets the diff of an Update sent on another
+   connection. *)
+let test_worker_pushes_to_subscribers () =
+  let g, _ = Lazy.force corpus in
+  let w = Worker.start ~jobs:1 (corpus_store ()) in
+  let port = Worker.port w in
+  let subscriber = Client.connect ~port () in
+  check "subscribed at v0" 0 (Client.subscribe subscriber);
+  let pushed = Atomic.make None in
+  let reader =
+    Thread.create
+      (fun () ->
+        let d = try Client.next_diff subscriber with _ -> None in
+        Atomic.set pushed (Some d))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* Ends the subscription, so the reader returns either way. *)
+      Worker.stop w;
+      Thread.join reader;
+      Client.close subscriber)
+    (fun () ->
+      let u, v = fresh_edge g in
+      let reply =
+        Client.with_connection ~port (fun cl ->
+            Client.update cl [ Delta.Add_edge (u, v) ])
+      in
+      check "committed as v1" 1 reply.Protocol.new_version;
+      check_bool "push arrives within 5 s" true
+        (Testutil.wait_for ~seconds:5.0 (fun () ->
+             Atomic.get pushed <> None));
+      match Atomic.get pushed with
+      | Some (Some d) ->
+        check_str "pushed diff = update reply" (render_diff reply)
+          (render_diff d)
+      | _ -> Alcotest.fail "subscriber got no push")
+
+(* An incomplete store never answers a Mine itself, so this Mine really
+   mines; the graph keeps it busy well past the 2 s budget. *)
+let long_mine_store () =
+  {
+    (corpus_store ()) with
+    Store.graph =
+      Gen.erdos_renyi (Gen.rng 48) ~n:4000 ~avg_degree:3.0 ~num_labels:4;
+    complete = false;
+    patterns = [];
+  }
+
+(* [Worker.stop] is graceful: a Mine in flight when it is called still
+   delivers its reply before the worker is gone. *)
+let test_worker_stop_finishes_in_flight () =
+  let s = long_mine_store () in
+  let w = Worker.start ~jobs:1 ~mine_timeout:2.0 s in
+  let port = Worker.port w in
+  let miner = Client.connect ~port () in
+  let reply = Atomic.make None in
+  let mining =
+    Thread.create
+      (fun () ->
+        let r =
+          try
+            Ok
+              (Client.call miner
+                 (Protocol.Mine
+                    (Protocol.mine_params ~l:s.Store.l ~delta:s.Store.delta
+                       ~sigma:s.Store.sigma ())))
+          with e -> Error (Printexc.to_string e)
+        in
+        Atomic.set reply (Some r))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Worker.stop w;
+      Thread.join mining;
+      Client.close miner)
+    (fun () ->
+      Client.with_connection ~port (fun cl ->
+          check_bool "the mine is running" true
+            (Testutil.wait_for ~seconds:10.0 (fun () ->
+                 (Client.progress cl).Protocol.running)));
+      Worker.stop w;
+      check_bool "mine reply arrives within 10 s" true
+        (Testutil.wait_for ~seconds:10.0 (fun () -> Atomic.get reply <> None));
+      match Atomic.get reply with
+      | Some (Ok { Protocol.payload = Protocol.Patterns _; _ }) -> ()
+      | Some (Ok _) -> Alcotest.fail "expected a Patterns reply"
+      | Some (Error msg) -> Alcotest.failf "mine reply lost: %s" msg
+      | None -> Alcotest.fail "no mine reply")
+
 let () =
   Alcotest.run "cluster"
     [
@@ -554,9 +669,15 @@ let () =
             test_worker_kill_partial_and_recovery;
           Alcotest.test_case "update needs every shard" `Quick
             test_update_needs_every_shard;
+          Alcotest.test_case "worker stop finishes the in-flight mine"
+            `Quick test_worker_stop_finishes_in_flight;
         ] );
       ( "wire",
         [
+          Alcotest.test_case "router shutdown with an idle client" `Quick
+            test_router_shutdown_with_idle_client;
+          Alcotest.test_case "worker pushes to subscribers" `Quick
+            test_worker_pushes_to_subscribers;
           Alcotest.test_case "served router + subscriber" `Quick
             test_router_over_the_wire;
         ] );

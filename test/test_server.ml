@@ -373,6 +373,31 @@ let test_end_to_end_from_saved_store () =
                 (render served));
           Client.with_connection ~port Client.shutdown))
 
+(* Shutdown always completes: a handshaken client idling on another
+   connection is half-closed by the stop, not waited on. *)
+let test_shutdown_with_idle_client () =
+  let srv = Server.create ~jobs:1 () in
+  Server.set_store srv (corpus_store ());
+  let fd, port = Server.listen ~port:0 () in
+  let returned = Atomic.make false in
+  let server_thread =
+    Thread.create
+      (fun () ->
+        Server.serve srv fd;
+        Atomic.set returned true)
+      ()
+  in
+  let idle = Client.connect ~port () in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close idle;
+      Thread.join server_thread)
+    (fun () ->
+      Client.ping idle;
+      Client.with_connection ~port Client.shutdown;
+      check_bool "serve returns within 5 s of Shutdown" true
+        (Testutil.wait_for ~seconds:5.0 (fun () -> Atomic.get returned)))
+
 (* --- the neighborhood family over the wire (protocol v5) --- *)
 
 let contains_sub s sub =
@@ -871,6 +896,8 @@ let () =
         [
           Alcotest.test_case "ephemeral port server = library" `Quick
             test_end_to_end;
+          Alcotest.test_case "shutdown with an idle client" `Quick
+            test_shutdown_with_idle_client;
           Alcotest.test_case "saved store serves without re-mining" `Quick
             test_end_to_end_from_saved_store;
         ] );

@@ -17,3 +17,18 @@ let with_temp_dir ?(prefix = "spm_test_") f =
       f dir)
 
 let temp_file_in dir name = Filename.concat dir name
+
+(* Poll [cond] every 10 ms until it holds or [seconds] have passed, and
+   return its last value: a test waiting on another thread fails on the
+   deadline instead of hanging when that thread never finishes. *)
+let wait_for ~seconds cond =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    cond ()
+    || Unix.gettimeofday () < deadline
+       && begin
+            Thread.delay 0.01;
+            go ()
+          end
+  in
+  go ()
