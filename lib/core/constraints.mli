@@ -10,38 +10,24 @@
       truth and for the ablation benchmark).
     - [Paper]: the paper's local checks — Constraint I/II on the D_H/D_T
       indices, Constraint III verified only when Theorem 3's trigger fires.
-    - [Exact]: the paper's local checks for I/II hardened with provably
-      exact triggers for III (a BFS from the extension site for leaf
-      extensions; a full verification for closing edges, which are rare).
-      This is the default: it never reports a pattern under a diameter that
-      is not canonical.
+    - [Exact]: decided from the parent before the child is built — every
+      leaf from the parent's distances, a closing edge's Constraint II from
+      the parent's index, and the surviving closing edges (rare) by a full
+      verification of the built child. This is the default: it never
+      reports a pattern under a diameter that is not canonical.
 
-    All three agree on every instance we have property-tested; [Paper]'s
-    Theorem-3 trigger restricts new diameters to end at the head or tail,
-    which its Theorem 2 justifies under the growth discipline. *)
+    [Exact] and [Naive] agree on every instance we have property-tested.
+    [Paper]'s Theorem-3 trigger restricts new diameters to end at the head
+    or tail, and so over-accepts when a new same-length realizing path runs
+    between twigs (DESIGN.md §7 finding 2). *)
 
 type mode = Naive | Paper | Exact
 
 type extension =
-  | New_leaf of { host : int }
-      (** fresh vertex (taking the next id) attached to [host] *)
+  | New_leaf of { host : int; label : Spm_graph.Label.t }
+      (** fresh vertex (taking the next id) with [label], attached to
+          [host] *)
   | Close of int * int  (** new edge between existing vertices *)
-
-val check :
-  mode:mode ->
-  pattern':Spm_pattern.Pattern.t ->
-  idx:Distance_index.t ->
-  idx':Distance_index.t ->
-  l:int ->
-  extension ->
-  bool
-(** [pattern'] is the extended pattern; [idx]/[idx'] the distance indices
-    before/after the extension. True iff the path on vertices [0..l] is still
-    the canonical diameter of [pattern']. *)
-
-val check_naive : Spm_pattern.Pattern.t -> l:int -> bool
-(** Ground truth: the canonical diameter of the pattern is exactly the
-    identity path [0..l]. *)
 
 (** {1 Constraint families}
 
@@ -58,19 +44,61 @@ type family =
 val family_name : family -> string
 (** ["skinny"] or ["neighborhood"] — the CLI / protocol spelling. *)
 
-val check_neighborhood :
-  mode:mode ->
-  pattern':Spm_pattern.Pattern.t ->
-  idx':Distance_index.t ->
-  r:int ->
-  extension ->
-  bool
-(** Admissibility for the r-neighborhood family. The center is pattern
-    vertex 0 and the distance index is rooted there (head = tail = 0), so
-    [Distance_index.dh] is exact distance-to-center: a new leaf is admissible
-    iff it lands within radius [r]; a closing edge only shrinks distances and
-    is always admissible. [Naive] recomputes the eccentricity of vertex 0
-    from scratch (the ground-truth ablation, like {!check_naive}). *)
+(** {1 Deciding before building} *)
+
+type parent
+(** A growth state about to be extended: its pattern (canonical under the
+    family by induction), its distance index, and the all-pairs distances
+    and per-host leaf rules, each computed on first use and then shared by
+    every extension of the state. *)
+
+val parent :
+  family ->
+  pattern:Spm_pattern.Pattern.t ->
+  idx:Distance_index.t ->
+  bound:int ->
+  parent
+(** [bound] is l for [Skinny] (the diameter is vertices [0..l]) and the
+    radius r for [Neighborhood] (the center is vertex 0 and the index is
+    rooted there, head = tail = 0, so [Distance_index.dh] is exact
+    distance-to-center). *)
+
+type verdict =
+  | Reject  (** inadmissible: do not build the child *)
+  | Admit  (** admissible: build the child, no further check *)
+  | Confirm  (** build the child, then {!confirm} decides *)
+
+val decide : mode:mode -> parent -> extension -> verdict
+(** The verdict from the parent alone. [Exact] decides every leaf here
+    (Constraints I–III are local: the child's new realizing paths all end at
+    the leaf, and two label-equal-prefix searches per host on the parent's
+    shortest-path DAG settle every label at once) and rejects a closing edge
+    that breaks Constraint II; only the other closing edges are [Confirm].
+    Under [Neighborhood], [Paper] and [Exact] decide everything here (a leaf
+    is admissible iff it lands within r; a closing edge always is). [Naive]
+    and skinny [Paper] always answer [Confirm]: they judge the built
+    child. *)
+
+val confirm :
+  mode:mode -> parent -> pattern':Spm_pattern.Pattern.t -> extension -> bool
+(** The post-build half, for a [Confirm] verdict; [pattern'] is the
+    extended pattern. [Exact]: the identity path is still the canonical
+    diameter ({!Canonical_diameter.identity_preserved}). [Paper]: the
+    paper's local checks, Constraint III verified only when Theorem 3's
+    trigger fires. [Naive]: recompute the canonical diameter (or the
+    center's eccentricity) of [pattern'] and compare — the "highly
+    inefficient" baseline of §3.3, kept as ground truth and for the
+    ablation. *)
+
+val check :
+  mode:mode -> parent -> pattern':Spm_pattern.Pattern.t -> extension -> bool
+(** {!decide}, then {!confirm} on [Confirm]: true iff the extension keeps
+    the pattern in the family (for [Skinny], the path on vertices [0..l] is
+    still the canonical diameter of [pattern']). *)
+
+val check_naive : Spm_pattern.Pattern.t -> l:int -> bool
+(** Ground truth: the canonical diameter of the pattern is exactly the
+    identity path [0..l]. *)
 
 val neighborhood_target :
   ?center:Spm_graph.Label.t -> Spm_pattern.Pattern.t -> r:int -> bool

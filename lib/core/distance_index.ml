@@ -21,10 +21,8 @@ let extend_new_vertex t ~host =
   dt.(n) <- t.dt.(host) + 1;
   { dh; dt }
 
-(* Decrease-only relaxation of one distance array after edge (u, v) was
-   added to [p']. Only vertices whose distance drops are visited. *)
-let relax p' dist u v =
-  let queue = Queue.create () in
+let relax queue p' dist u v =
+  Queue.clear queue;
   let try_improve a b =
     if dist.(b) > dist.(a) + 1 then begin
       dist.(b) <- dist.(a) + 1;
@@ -38,10 +36,10 @@ let relax p' dist u v =
     Graph.iter_adj p' x (fun y -> try_improve x y)
   done
 
-let extend_close_edge p' t u v =
+let extend_close_edge ~queue p' t u v =
   let t = copy t in
-  relax p' t.dh u v;
-  relax p' t.dt u v;
+  relax queue p' t.dh u v;
+  relax queue p' t.dt u v;
   t
 
 let equal a b = a.dh = b.dh && a.dt = b.dt

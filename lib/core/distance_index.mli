@@ -29,10 +29,18 @@ val extend_new_vertex : t -> host:int -> t
 (** Index for the pattern extended with a fresh leaf attached to [host]
     (the new vertex takes the next id). Persistent: the input is unchanged. *)
 
-val extend_close_edge : Spm_pattern.Pattern.t -> t -> int -> int -> t
+val extend_close_edge :
+  queue:int Queue.t -> Spm_pattern.Pattern.t -> t -> int -> int -> t
 (** Index for [pattern'] = pattern + edge (u, v), where the given pattern is
     already the extended one (used for adjacency during relaxation).
-    Persistent. *)
+    Persistent; [queue] is scratch space for {!relax}. *)
+
+val relax :
+  int Queue.t -> Spm_pattern.Pattern.t -> int array -> int -> int -> unit
+(** [relax queue p' dist u v] lowers [dist] in place after the edge (u, v)
+    was added to [p'], where [dist] holds distances to a fixed source set in
+    the pattern before the edge. Decrease-only: only vertices whose distance
+    drops are visited. [queue] is scratch space, cleared on entry. *)
 
 val recompute : Spm_pattern.Pattern.t -> head:int -> tail:int -> t
 

@@ -51,7 +51,7 @@ end
 (** The r-neighborhood instance (Han & Wen): minimal patterns are single
     labeled centers ({!Neighbor_mine.centers}), growth preserves "every
     vertex within distance [r] of the center" via
-    {!Constraints.check_neighborhood}. Qualification (reducibility with the
+    the [Neighborhood] family of {!Constraints.decide}. Qualification (reducibility with the
     one-edge witnesses, continuity) is demonstrated by the committed
     property-checker tests. Unlike skinny clusters, neighborhood clusters
     overlap — a pattern near two differently-labeled centers is grown from

@@ -17,17 +17,6 @@ type stats = {
   seconds : float;
 }
 
-(* Extension descriptor: NL (host, new label) creates a twig; CE (u, v)
-   closes an edge between existing vertices. *)
-type desc = NL of int * Label.t | CE of int * int
-
-let compare_desc a b =
-  match (a, b) with
-  | NL (h1, l1), NL (h2, l2) -> compare (h1, l1) (h2, l2)
-  | CE (u1, v1), CE (u2, v2) -> compare (u1, v1) (u2, v2)
-  | NL _, CE _ -> -1
-  | CE _, NL _ -> 1
-
 type pstate = {
   pattern : Pattern.t;
   levels : int array; (* true distance to the diameter path [0..l] *)
@@ -49,114 +38,149 @@ let default_support data =
     | [] -> 0
     | _ -> List.length maps / Plan.Cache.aut_count plans ~freq pattern
 
-(* Per-grow scratch: the relaxation queue and the embedding-image mark array
-   are allocated once per [grow] call and reused across every state and
-   embedding, instead of a fresh Queue / Hashtbl per extension. The mark
-   array is stamp-based: each embedding bumps [stamp] and writes it at its
-   image vertices, so membership is one array probe and no clearing pass. *)
+(* Per-grow scratch: the relaxation queue and the embedding-image arrays are
+   allocated once per [grow] call and reused across every state and
+   embedding, instead of a fresh Queue / Hashtbl per extension. The image
+   marks are stamp-based: each embedding bumps [stamp] and writes it at its
+   image vertices (and their pattern vertex into [preimage]), so membership
+   is one array probe and no clearing pass. *)
 type scratch = {
   relax_queue : int Queue.t;
   mark : int array; (* sized to the data graph *)
+  preimage : int array; (* valid where [mark] holds the current stamp *)
   mutable stamp : int;
 }
 
 let make_scratch data =
+  let n = max 1 (Graph.n data) in
   {
     relax_queue = Queue.create ();
-    mark = Array.make (max 1 (Graph.n data)) 0;
+    mark = Array.make n 0;
+    preimage = Array.make n 0;
     stamp = 0;
   }
 
-(* Levels (distance to the diameter) maintained exactly: a fresh leaf sits
-   one above its host; a closing edge can only lower levels, propagated by a
-   decrease-only relaxation. *)
-let relax_levels scratch pattern' levels u v =
-  let queue = scratch.relax_queue in
-  Queue.clear queue;
-  let try_improve a b =
-    if levels.(b) > levels.(a) + 1 then begin
-      levels.(b) <- levels.(a) + 1;
-      Queue.add b queue
-    end
-  in
-  try_improve u v;
-  try_improve v u;
-  while not (Queue.is_empty queue) do
-    let x = Queue.pop queue in
-    Graph.iter_adj pattern' x (fun y -> try_improve x y)
-  done
+(* One extension of a state: its pre-build verdict, how many of the
+   state's mappings cover it, and — unless the verdict is [Reject], which
+   needs nothing more — the child's mappings. *)
+type cand = {
+  ext : Constraints.extension;
+  verdict : Constraints.verdict;
+  mutable maps : int array list;
+  mutable covered : int;
+  mutable last : int; (* index of the last mapping counted in [covered] *)
+}
 
-(* Enumerate extension candidates for one state, grouped by descriptor with
-   per-descriptor mapping lists. Twigs may hang off any vertex whose level
-   leaves room under delta; closing edges may join any non-adjacent pair
-   whose images are adjacent in the data graph. Twig labels arrive sorted
-   per host vertex thanks to the CSR's (label, id) neighbor order. *)
-let candidates run scratch data st ~delta =
-  let by_desc : (desc, int array list ref) Hashtbl.t = Hashtbl.create 32 in
-  let add desc m =
-    match Hashtbl.find_opt by_desc desc with
-    | Some l -> l := m :: !l
-    | None -> Hashtbl.add by_desc desc (ref [ m ])
+(* Int keys compared by [Int.equal], not the polymorphic compare: this
+   lookup runs once per (embedding, neighbor). *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Enumerate extension candidates for one state, grouped by extension and
+   judged by [decide] the first time each is seen. Twigs may hang off any
+   vertex whose level leaves room under delta; closing edges may join any
+   non-adjacent pair whose images are adjacent in the data graph. Each
+   extension has an int key — a leaf (host, label) is [host * nl + label], a
+   closing edge (u, v) with u < v follows at [np * nl + u * np + v] — so the
+   lookup per embedding allocates nothing, and ascending keys give the
+   deterministic order: leaves by (host, label), then closing edges. *)
+let candidates run scratch data (st : pstate) ~delta ~decide =
+  let nl = Graph.num_labels data and np = Graph.n st.pattern in
+  let leaves = np * nl in
+  let by_key : cand Itbl.t = Itbl.create 64 in
+  let cover i key =
+    let c =
+      match Itbl.find by_key key with
+      | c -> c
+      | exception Not_found ->
+        let ext =
+          if key < leaves then
+            Constraints.New_leaf { host = key / nl; label = key mod nl }
+          else Close ((key - leaves) / np, (key - leaves) mod np)
+        in
+        let c =
+          { ext; verdict = decide ext; maps = []; covered = 0; last = -1 }
+        in
+        Itbl.add by_key key c;
+        c
+    in
+    if c.last <> i then begin
+      c.covered <- c.covered + 1;
+      c.last <- i
+    end;
+    c
   in
-  let np = Graph.n st.pattern in
-  List.iter
-    (fun m ->
+  let adjacent = Array.make (np * np) false in
+  Graph.iter_edges
+    (fun u v ->
+      adjacent.((u * np) + v) <- true;
+      adjacent.((v * np) + u) <- true)
+    st.pattern;
+  (* One pass over the images' data neighbors: an unmarked neighbor is a
+     twig, a marked one closes an edge when its pattern vertices are not
+     adjacent (found from the larger end only, so once). *)
+  List.iteri
+    (fun i m ->
       Spm_engine.Run.check run;
       scratch.stamp <- scratch.stamp + 1;
       let s = scratch.stamp in
-      Array.iter (fun tv -> scratch.mark.(tv) <- s) m;
+      Array.iteri
+        (fun pv tv ->
+          scratch.mark.(tv) <- s;
+          scratch.preimage.(tv) <- pv)
+        m;
       for pv = 0 to np - 1 do
-        if st.levels.(pv) <= delta - 1 then
-          Graph.iter_adj data m.(pv) (fun w ->
-              if scratch.mark.(w) <> s then
-                add (NL (pv, Graph.label data w)) (Array.append m [| w |]))
-      done;
-      for pv = 0 to np - 1 do
-        for pu = 0 to pv - 1 do
-          if
-            (not (Graph.has_edge st.pattern pu pv))
-            && Graph.has_edge data m.(pu) m.(pv)
-          then add (CE (pu, pv)) m
-        done
+        let twigs = st.levels.(pv) <= delta - 1 in
+        Graph.iter_adj data m.(pv) (fun w ->
+            if scratch.mark.(w) <> s then begin
+              if twigs then begin
+                let c = cover i ((pv * nl) + Graph.label data w) in
+                if c.verdict <> Constraints.Reject then
+                  c.maps <- Array.append m [| w |] :: c.maps
+              end
+            end
+            else begin
+              let pu = scratch.preimage.(w) in
+              if pu < pv && not adjacent.((pu * np) + pv) then begin
+                let c = cover i (leaves + (pu * np) + pv) in
+                if c.verdict <> Constraints.Reject then c.maps <- m :: c.maps
+              end
+            end)
       done)
     st.maps;
-  Hashtbl.fold (fun d ms acc -> (d, !ms) :: acc) by_desc []
-  |> List.sort (fun (d1, _) (d2, _) -> compare_desc d1 d2)
+  Itbl.fold (fun key c acc -> (key, c) :: acc) by_key []
+  |> List.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2)
+  |> List.map snd
 
-let apply_desc scratch st desc =
-  match desc with
-  | NL (host, label) ->
+(* Levels (distance to the diameter) stay exact: a fresh leaf sits one above
+   its host; a closing edge can only lower levels. *)
+let apply_ext scratch st ext =
+  match ext with
+  | Constraints.New_leaf { host; label } ->
     let pattern = Pattern.extend_new_vertex st.pattern ~host ~label in
     let idx = Distance_index.extend_new_vertex st.idx ~host in
     let levels = Array.append st.levels [| st.levels.(host) + 1 |] in
-    (pattern, idx, levels, Constraints.New_leaf { host })
-  | CE (u, v) ->
+    (pattern, idx, levels)
+  | Close (u, v) ->
+    let queue = scratch.relax_queue in
     let pattern = Pattern.extend_close_edge st.pattern u v in
-    let idx = Distance_index.extend_close_edge pattern st.idx u v in
+    let idx = Distance_index.extend_close_edge ~queue pattern st.idx u v in
     let levels = Array.copy st.levels in
-    relax_levels scratch pattern levels u v;
-    (pattern, idx, levels, Constraints.Close (u, v))
+    Distance_index.relax queue pattern levels u v;
+    (pattern, idx, levels)
 
-(* A descriptor is "universal" for a state when every embedding of the
+(* An extension is "universal" for a state when every embedding of the
    pattern supports it — extending by it cannot reduce the support, so every
    closed superpattern contains it. Closed growth applies such extensions
    eagerly without branching (the item-merging jump of closed-pattern
    mining), collapsing the twig powerset the complete semantics enumerates. *)
-let universal_descs st cands =
+let universal_exts (st : pstate) cands =
   let total = List.length st.maps in
-  List.filter
-    (fun (desc, maps) ->
-      match desc with
-      | CE _ -> List.length maps = total
-      | NL _ ->
-        (* Forward maps extend parents; count distinct parents covered. *)
-        let parents = Hashtbl.create total in
-        List.iter
-          (fun (m : int array) ->
-            Hashtbl.replace parents (Array.sub m 0 (Array.length m - 1)) ())
-          maps;
-        Hashtbl.length parents = total)
-    cands
+  List.filter (fun c -> c.covered = total) cands
 
 let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
     ?(closed_growth = false) ?support ?run ~data ~sigma ~delta
@@ -221,45 +245,50 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
     end
   in
   Hashtbl.replace decided (Canon.key init.pattern) ();
-  (* Build one child; [`Dup] = pattern already judged elsewhere. *)
-  let build_child st (desc, maps) =
+  (* Build one child of [par]'s state; [`Dup] = pattern already judged
+     elsewhere. Every call counts as one tried extension, built or not. *)
+  let build_child par st c =
     incr tried;
     Spm_engine.Run.tick run;
-    let pattern', idx', levels', ext = apply_desc scratch st desc in
     (* Constraints first: rejections are by far the most common outcome and
-       must not pay for canonicalization. (Verdicts depend on WHICH vertices
-       carry the diameter — two isomorphic constructions can differ, e.g. a
-       paw built as triangle-on-the-diameter vs triangle-on-a-twig — so a
-       rejection must NOT be memoized; only acceptance and infrequency are
-       pattern-intrinsic.) *)
-    let admissible =
-      match family with
-      | Constraints.Skinny ->
-        Constraints.check ~mode ~pattern':pattern' ~idx:st.idx ~idx':idx' ~l
-          ext
-      | Constraints.Neighborhood _ ->
-        (* [delta] carries the radius r; vertex 0 is the center. *)
-        Constraints.check_neighborhood ~mode ~pattern':pattern' ~idx':idx'
-          ~r:delta ext
+       must pay for neither the build nor canonicalization. (Verdicts depend
+       on WHICH vertices carry the diameter — two isomorphic constructions
+       can differ, e.g. a paw built as triangle-on-the-diameter vs
+       triangle-on-a-twig — so a rejection must NOT be memoized; only
+       acceptance and infrequency are pattern-intrinsic.) *)
+    let built =
+      match c.verdict with
+      | Constraints.Reject -> None
+      | Admit -> Some (apply_ext scratch st c.ext)
+      | Confirm ->
+        let ((pattern', _, _) as child) = apply_ext scratch st c.ext in
+        if Constraints.confirm ~mode par ~pattern' c.ext then Some child
+        else None
     in
-    if not admissible then begin
+    match built with
+    | None ->
       incr rejected;
       `Rejected
-    end
-    else begin
+    | Some (pattern', idx', levels') ->
       let key = Canon.key pattern' in
       if Hashtbl.mem decided key then `Dup
       else begin
         Hashtbl.replace decided key ();
-        let support = support_fn pattern' maps in
+        let support = support_fn pattern' c.maps in
         if support < sigma then begin
           incr infreq;
           `Infrequent
         end
         else
-          `Child { pattern = pattern'; levels = levels'; idx = idx'; maps; support }
+          `Child
+            {
+              pattern = pattern';
+              levels = levels';
+              idx = idx';
+              maps = c.maps;
+              support;
+            }
       end
-    end
   in
   let rec closure frontier =
     match frontier with
@@ -267,7 +296,15 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
     | st :: rest when not !full ->
       Spm_engine.Run.check run;
       Spm_engine.Run.set_level run (Graph.m st.pattern);
-      let cands = candidates run scratch data st ~delta in
+      (* [delta] is the radius r for the neighborhood family. *)
+      let par =
+        Constraints.parent family ~pattern:st.pattern ~idx:st.idx
+          ~bound:(match family with Skinny -> l | Neighborhood _ -> delta)
+      in
+      let cands =
+        candidates run scratch data st ~delta
+          ~decide:(Constraints.decide ~mode par)
+      in
       if closed_growth then begin
         (* Eager phase: the first applicable support-preserving extension
            replaces the state without emitting it (the parent cannot be
@@ -277,13 +314,13 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
         let rec eager stash = function
           | [] -> `NoUniversal stash
           | cand :: more -> (
-            match build_child st cand with
+            match build_child par st cand with
             | `Child st' when st'.support = st.support -> `Jump (st', stash)
             | `Child st' -> eager (st' :: stash) more
             | `Dup -> `Covered stash
             | `Rejected | `Infrequent -> eager stash more)
         in
-        match eager [] (universal_descs st cands) with
+        match eager [] (universal_exts st cands) with
         | `Jump (st', stash) -> closure ((st' :: stash) @ rest)
         | `Covered stash -> closure (stash @ rest)
         | `NoUniversal stash ->
@@ -291,7 +328,7 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
           let children =
             List.filter_map
               (fun cand ->
-                match build_child st cand with
+                match build_child par st cand with
                 | `Child st' -> Some st'
                 | `Dup | `Rejected | `Infrequent -> None)
               cands
@@ -302,7 +339,7 @@ let grow ?(mode = Constraints.Exact) ?(family = Constraints.Skinny)
         let children =
           List.filter_map
             (fun cand ->
-              match build_child st cand with
+              match build_child par st cand with
               | `Child st' ->
                 emit st';
                 Some st'

@@ -4,10 +4,15 @@
     Vertices [0..l] of every grown pattern are the diameter (head 0, tail l);
     twig vertices take ids beyond [l]. Extensions are leaf additions (a twig
     on any vertex whose level leaves room under δ) and closing edges; every
-    extension must pass Constraints I–III ({!Constraints.check}) and the σ
-    frequency test on distinct embedding subgraphs. Patterns are
-    deduplicated by canonical key, which also provides the unique-generation
-    guarantee. *)
+    extension must pass Constraints I–III and the σ frequency test on
+    distinct embedding subgraphs. Admissibility is decided from the parent
+    state before the child is built ({!Constraints.decide}): a rejected
+    extension costs one verdict and a count of the parent mappings that
+    cover it, and only survivors get a pattern, distance index, levels and
+    mappings (a [Confirm] verdict — [Naive], skinny [Paper], or an [Exact]
+    closing edge that passes Constraint II — is then judged on the built
+    child, {!Constraints.confirm}). Patterns are deduplicated by canonical
+    key, which also provides the unique-generation guarantee. *)
 
 type mined = {
   pattern : Spm_pattern.Pattern.t;
@@ -18,7 +23,10 @@ type mined = {
 
 type stats = {
   extensions_tried : int;
+      (** extensions judged, whether or not they were built *)
   constraint_rejected : int;
+      (** of those, rejected by the constraint check, before or after the
+          build *)
   infrequent : int;
   emitted : int;
   interrupted : bool;

@@ -47,7 +47,8 @@ module Config : sig
             [Neighborhood], {!mine} takes [l = 0] and reads the radius r from
             [delta]: Stage I seeds one single-vertex entry per center label
             ({!Neighbor_mine.centers}) and Stage II grows each center under
-            {!Constraints.check_neighborhood}. Overlapping clusters are
+            the [Neighborhood] family of {!Constraints.decide}. Overlapping
+            clusters are
             deduplicated in entry order, so the output is still
             bit-identical for every [jobs] value. *)
     closed_growth : bool;

@@ -274,7 +274,7 @@ let random_growth_agrees seed =
       let u = Random.State.int st n and v = Random.State.int st n in
       if u <> v && not (Graph.has_edge !p u v) then begin
         p := Spm_pattern.Pattern.extend_close_edge !p u v;
-        idx := Distance_index.extend_close_edge !p !idx u v
+        idx := Distance_index.extend_close_edge ~queue:(Queue.create ()) !p !idx u v
       end
     end;
     let fresh = Distance_index.recompute !p ~head:0 ~tail:l in
@@ -301,75 +301,109 @@ let test_distance_index_leaf () =
 
 (* --- Constraints --- *)
 
-(* Random growth on a diameter; at each candidate extension compare the three
-   modes against ground truth. [Exact] must always agree with [Naive]; we
-   also track [Paper] (its Theorem-3 trigger is believed exact under the
-   level discipline, but we only assert it on extensions the level discipline
-   would propose: leaf hosts and closing pairs chosen freely here, so Paper
-   is allowed to differ; the property asserts Paper never *wrongly accepts*
-   without the naive check failing in the other direction... we simply
-   assert Exact = Naive and Paper >= Naive on acceptance soundness). *)
-let constraint_modes_once seed =
+(* Random admissible growth under [family] from [base] (canonical under the
+   family): [steps] times, draw a random leaf (any host, label in 0..2) or
+   closing edge, hand the parent, the extended pattern and the extension to
+   [f], and keep the extension when naive recomputation accepts it — so
+   every parent [f] sees is admissible, as in LevelGrow. *)
+let random_growth ~family ~bound st base ~steps f =
+  let tail = match family with Constraints.Skinny -> bound | Neighborhood _ -> 0 in
+  let queue = Queue.create () in
+  let p = ref base and idx = ref (Distance_index.init base ~head:0 ~tail) in
+  for _ = 1 to steps do
+    let n = Graph.n !p in
+    let par = Constraints.parent family ~pattern:!p ~idx:!idx ~bound in
+    let attempt =
+      if Random.State.int st 3 < 2 then begin
+        let host = Random.State.int st n and label = Random.State.int st 3 in
+        Some
+          ( Spm_pattern.Pattern.extend_new_vertex !p ~host ~label,
+            Constraints.New_leaf { host; label } )
+      end
+      else begin
+        let u = Random.State.int st n and v = Random.State.int st n in
+        if u <> v && not (Graph.has_edge !p u v) then
+          Some (Spm_pattern.Pattern.extend_close_edge !p u v, Constraints.Close (u, v))
+        else None
+      end
+    in
+    match attempt with
+    | None -> ()
+    | Some (p', ext) ->
+      f par p' ext;
+      if Constraints.check ~mode:Constraints.Naive par ~pattern':p' ext then begin
+        idx :=
+          (match ext with
+          | Constraints.New_leaf { host; _ } ->
+            Distance_index.extend_new_vertex !idx ~host
+          | Close (u, v) -> Distance_index.extend_close_edge ~queue p' !idx u v);
+        p := p'
+      end
+  done
+
+(* A random skinny growth on a random l-long path whose identity orientation
+   is canonical (seeds where it is not are skipped). *)
+let skinny_growth seed f =
   let st = Gen.rng seed in
   let l = 3 + Random.State.int st 3 in
   let labels = Array.init (l + 1) (fun _ -> Random.State.int st 3) in
-  (* Make the identity path canonical by construction: relabel so that it is
-     the canonical diameter of the bare path. *)
   let base = Gen.path_graph labels in
-  if Canonical_diameter.compute base <> Array.init (l + 1) (fun i -> i) then
-    true (* skip: bare path not canonical in this orientation *)
-  else begin
-    let p = ref base in
-    let idx = ref (Distance_index.init !p ~head:0 ~tail:l) in
-    let ok = ref true in
-    for _ = 1 to 10 do
-      let n = Graph.n !p in
-      let choice = Random.State.int st 3 in
-      let attempt =
-        if choice < 2 then begin
-          let host = Random.State.int st n in
-          let p' =
-            Spm_pattern.Pattern.extend_new_vertex !p ~host
-              ~label:(Random.State.int st 3)
-          in
-          let idx' = Distance_index.extend_new_vertex !idx ~host in
-          Some (p', idx', Constraints.New_leaf { host })
-        end
-        else begin
-          let u = Random.State.int st n and v = Random.State.int st n in
-          if u <> v && not (Graph.has_edge !p u v) then begin
-            let p' = Spm_pattern.Pattern.extend_close_edge !p u v in
-            let idx' = Distance_index.extend_close_edge p' !idx u v in
-            Some (p', idx', Constraints.Close (u, v))
-          end
-          else None
-        end
-      in
-      match attempt with
-      | None -> ()
-      | Some (p', idx', ext) ->
-        let naive =
-          Constraints.check ~mode:Constraints.Naive ~pattern':p' ~idx:!idx
-            ~idx':idx' ~l ext
-        in
-        let exact =
-          Constraints.check ~mode:Constraints.Exact ~pattern':p' ~idx:!idx
-            ~idx':idx' ~l ext
-        in
-        if exact <> naive then ok := false;
-        (* Accept only valid extensions so the invariant is maintained. *)
-        if naive then begin
-          p := p';
-          idx := idx'
-        end
-    done;
-    !ok
-  end
+  if Canonical_diameter.compute base = Array.init (l + 1) (fun i -> i) then
+    random_growth ~family:Constraints.Skinny ~bound:l st base ~steps:10 f
+
+(* [Exact] must always agree with [Naive] ([Paper] is allowed to differ:
+   its Theorem-3 trigger is incomplete, DESIGN.md §7 finding 2). *)
+let constraint_modes_once seed =
+  let ok = ref true in
+  skinny_growth seed (fun par p' ext ->
+      if
+        Constraints.check ~mode:Constraints.Exact par ~pattern':p' ext
+        <> Constraints.check ~mode:Constraints.Naive par ~pattern':p' ext
+      then ok := false);
+  !ok
 
 let prop_constraints_exact_equals_naive =
   QCheck.Test.make ~name:"Exact constraint mode equals naive recomputation"
     ~count:150 QCheck.small_nat
     (fun seed -> constraint_modes_once (seed + 17))
+
+(* The pre-build verdict alone: a [Reject] or [Admit] from the parent must be
+   naive recomputation's answer on the built child, and only a closing edge
+   (skinny family) may defer to [Confirm]. *)
+let verdict_agrees par p' ext =
+  let naive = Constraints.check ~mode:Constraints.Naive par ~pattern':p' ext in
+  match (Constraints.decide ~mode:Constraints.Exact par ext, ext) with
+  | Reject, _ -> not naive
+  | Admit, _ -> naive
+  | Confirm, Close _ ->
+    Constraints.confirm ~mode:Constraints.Exact par ~pattern':p' ext = naive
+  | Confirm, New_leaf _ -> false
+
+let prop_prebuild_verdict_skinny =
+  QCheck.Test.make ~name:"skinny pre-build Exact verdict equals naive"
+    ~count:1000 QCheck.int (fun seed ->
+      let ok = ref true in
+      skinny_growth seed (fun par p' ext ->
+          if not (verdict_agrees par p' ext) then ok := false);
+      !ok)
+
+let prop_prebuild_verdict_neighborhood =
+  QCheck.Test.make ~name:"neighborhood pre-build Exact verdict equals naive"
+    ~count:500 QCheck.int (fun seed ->
+      let st = Gen.rng seed in
+      let r = 1 + Random.State.int st 2 in
+      let base = Gen.path_graph [| Random.State.int st 3 |] in
+      let ok = ref true in
+      random_growth
+        ~family:(Constraints.Neighborhood { center = None })
+        ~bound:r st base ~steps:10
+        (fun par p' ext -> if not (verdict_agrees par p' ext) then ok := false);
+      !ok)
+
+let skinny_parent p ~l =
+  Constraints.parent Constraints.Skinny ~pattern:p
+    ~idx:(Distance_index.init p ~head:0 ~tail:l)
+    ~bound:l
 
 let test_constraint_examples () =
   (* Figure 3-style checks on a concrete 4-long diameter. *)
@@ -379,39 +413,67 @@ let test_constraint_examples () =
   Alcotest.(check (array int)) "identity canonical"
     (Array.init 5 (fun i -> i))
     (Canonical_diameter.compute p);
-  let idx = Distance_index.init p ~head:0 ~tail:l in
+  let par = skinny_parent p ~l in
+  let exact ext p' = Constraints.check ~mode:Constraints.Exact par ~pattern':p' ext in
   (* Violating Constraint I: leaf on the head stretches the diameter. *)
   let p1 = Spm_pattern.Pattern.extend_new_vertex p ~host:0 ~label:1 in
-  let idx1 = Distance_index.extend_new_vertex idx ~host:0 in
   check_bool "leaf on head rejected" false
-    (Constraints.check ~mode:Constraints.Exact ~pattern':p1 ~idx ~idx':idx1 ~l
-       (Constraints.New_leaf { host = 0 }));
+    (exact (Constraints.New_leaf { host = 0; label = 1 }) p1);
   check_bool "naive agrees" false (Constraints.check_naive p1 ~l);
   (* Violating Constraint II: chord 0-3 shortens head-tail distance. *)
   let p2 = Spm_pattern.Pattern.extend_close_edge p 0 3 in
-  let idx2 = Distance_index.extend_close_edge p2 idx 0 3 in
-  check_bool "chord rejected" false
-    (Constraints.check ~mode:Constraints.Exact ~pattern':p2 ~idx ~idx':idx2 ~l
-       (Constraints.Close (0, 3)));
+  check_bool "chord rejected" false (exact (Constraints.Close (0, 3)) p2);
   (* A mid-path twig is fine. *)
   let p3 = Spm_pattern.Pattern.extend_new_vertex p ~host:2 ~label:3 in
-  let idx3 = Distance_index.extend_new_vertex idx ~host:2 in
   check_bool "twig accepted" true
-    (Constraints.check ~mode:Constraints.Exact ~pattern':p3 ~idx ~idx':idx3 ~l
-       (Constraints.New_leaf { host = 2 }));
+    (exact (Constraints.New_leaf { host = 2; label = 3 }) p3);
   check_bool "naive agrees on twig" true (Constraints.check_naive p3 ~l);
-  (* Constraint III: a twig creating a smaller same-length diameter. Labels
-     make the alternative path smaller: twig label 0 on vertex 1 gives path
-     [twig;1;2;3;4] with labels 0-1-1-1-2 equal to L's labels but larger by
-     vertex ids, so still accepted; twig label -? labels are nonneg — use
-     host 3 and label 0: path reads 0-1-1-1-2 from twig... build and let the
-     naive check decide, then require Exact to agree. *)
+  (* Constraint III: a twig label 0 on vertex 1 ends the new realizing path
+     twig-1-2-3-4 with labels 0-1-1-1-2, equal to L's; the identity wins the
+     id tiebreak. Let the naive check decide, then require Exact to agree. *)
   let p4 = Spm_pattern.Pattern.extend_new_vertex p ~host:1 ~label:0 in
-  let idx4 = Distance_index.extend_new_vertex idx ~host:1 in
   check_bool "III: exact agrees with naive" true
-    (Constraints.check ~mode:Constraints.Exact ~pattern':p4 ~idx ~idx':idx4 ~l
-       (Constraints.New_leaf { host = 1 })
+    (exact (Constraints.New_leaf { host = 1; label = 0 }) p4
     = Constraints.check_naive p4 ~l)
+
+(* The outward search from a host must follow only vertices that still reach
+   a vertex at distance l - 1 from it. Here L = 0-1-1-1-0 with a twig t
+   (label 0 < L[3]) on vertex 2; a new leaf u of label 0 on vertex 1 makes
+   u-1-2-3-4 realizing, and along it t sits at the same depth as 3 — but t
+   reaches no vertex at distance 3 from vertex 1, so it is on no realizing
+   path and the leaf (a tie with L, lost on ids) stays admissible. *)
+let test_prebuild_off_route_twig () =
+  let l = 4 in
+  let p = Gen.path_graph [| 0; 1; 1; 1; 0 |] in
+  let p = Spm_pattern.Pattern.extend_new_vertex p ~host:2 ~label:0 in
+  check_bool "parent canonical" true (Constraints.check_naive p ~l);
+  let par = skinny_parent p ~l in
+  let ext = Constraints.New_leaf { host = 1; label = 0 } in
+  let p' = Spm_pattern.Pattern.extend_new_vertex p ~host:1 ~label:0 in
+  check_bool "naive admits" true (Constraints.check_naive p' ~l);
+  check_bool "decided Admit before the build" true
+    (Constraints.decide ~mode:Constraints.Exact par ext = Constraints.Admit)
+
+(* The outward search rejects: L = 0-2-2-0-1 and a twig h of label 1 on
+   vertex 2. A leaf of label 0 on h makes u-h-2-3-4 realizing with labels
+   0-1-2-0-1 < L, while no path into h ties or undercuts L[0..3], so only
+   the outward search sees it. *)
+let test_prebuild_outward_smaller () =
+  let l = 4 in
+  let p = Gen.path_graph [| 0; 2; 2; 0; 1 |] in
+  let p = Spm_pattern.Pattern.extend_new_vertex p ~host:2 ~label:1 in
+  check_bool "parent canonical" true (Constraints.check_naive p ~l);
+  let par = skinny_parent p ~l in
+  let ext = Constraints.New_leaf { host = 5; label = 0 } in
+  let p' = Spm_pattern.Pattern.extend_new_vertex p ~host:5 ~label:0 in
+  check_bool "naive rejects" false (Constraints.check_naive p' ~l);
+  check_bool "decided Reject before the build" true
+    (Constraints.decide ~mode:Constraints.Exact par ext = Constraints.Reject);
+  (* A larger leaf label ties nothing and is admitted. *)
+  check_bool "label 1 admitted" true
+    (Constraints.decide ~mode:Constraints.Exact par
+       (Constraints.New_leaf { host = 5; label = 1 })
+    = Constraints.Admit)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -445,7 +507,13 @@ let () =
       ( "distance_index",
         [ Alcotest.test_case "leaf extension" `Quick test_distance_index_leaf ] );
       ( "constraints",
-        [ Alcotest.test_case "concrete examples" `Quick test_constraint_examples ] );
+        [
+          Alcotest.test_case "concrete examples" `Quick test_constraint_examples;
+          Alcotest.test_case "off-route twig stays admissible" `Quick
+            test_prebuild_off_route_twig;
+          Alcotest.test_case "outward route undercuts L" `Quick
+            test_prebuild_outward_smaller;
+        ] );
       qsuite "props"
         [
           prop_canonical_diameter_is_minimum;
@@ -454,5 +522,7 @@ let () =
           prop_diam_mine_exact_complete;
           prop_distance_index_incremental;
           prop_constraints_exact_equals_naive;
+          prop_prebuild_verdict_skinny;
+          prop_prebuild_verdict_neighborhood;
         ];
     ]

@@ -593,6 +593,54 @@ let test_immediate_subpatterns () =
   let same = Pattern.singleton_edge 0 0 in
   check "uniform edge subs" 1 (List.length (Framework.immediate_subpatterns same))
 
+(* Stage II's counters, summed over clusters, pinned on committed corpus
+   items for complete and closed growth at jobs 1 and 4: (extensions tried,
+   constraint rejected, infrequent, emitted). Every tried extension counts,
+   whether or not the constraint check let it be built, so a change in what
+   the counters mean — not only in what is mined — fails here. *)
+let test_grow_counters_pinned () =
+  let counts name ~closed_growth ~jobs =
+    let it = Spm_oracle.Corpus.find name in
+    let config =
+      {
+        Skinny_mine.Config.default with
+        family = it.Spm_oracle.Corpus.family;
+        closed_growth;
+        jobs;
+      }
+    in
+    let r =
+      Skinny_mine.mine ~config it.Spm_oracle.Corpus.graph ~l:it.l
+        ~delta:it.delta ~sigma:it.sigma
+    in
+    List.fold_left
+      (fun (t, c, i, e) (s : Level_grow.stats) ->
+        ( t + s.extensions_tried,
+          c + s.constraint_rejected,
+          i + s.infrequent,
+          e + s.emitted ))
+      (0, 0, 0, 0) r.Skinny_mine.stats.grow_stats
+  in
+  List.iter
+    (fun (name, closed_growth, pinned) ->
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (pair (pair int int) (pair int int)))
+            (Printf.sprintf "%s closed=%b jobs=%d" name closed_growth jobs)
+            (let t, c, i, e = pinned in
+             ((t, c), (i, e)))
+            (let t, c, i, e = counts name ~closed_growth ~jobs in
+             ((t, c), (i, e))))
+        [ 1; 4 ])
+    [
+      ("er12_3labels", false, (4503, 2210, 0, 749));
+      ("er12_3labels", true, (1843, 1015, 0, 139));
+      ("er10_dense", false, (426, 258, 23, 36));
+      ("er10_dense", true, (249, 161, 12, 19));
+      ("nbr_er12", false, (793, 0, 346, 148));
+      ("nbr_er12", true, (270, 0, 111, 32));
+    ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -618,6 +666,8 @@ let () =
           Alcotest.test_case "closed-only" `Quick test_closed_only_filter;
           Alcotest.test_case "max patterns cap" `Quick test_max_patterns_cap;
           Alcotest.test_case "transactions" `Quick test_transaction_setting;
+          Alcotest.test_case "grow counters pinned" `Quick
+            test_grow_counters_pinned;
         ] );
       ( "diameter_index",
         [ Alcotest.test_case "requests" `Quick test_diameter_index_requests ] );
